@@ -113,6 +113,41 @@ void BM_SampleWithoutReplacement(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleWithoutReplacement)->Arg(10000)->Arg(100000);
 
+/// The solvers' draw shape (n, count) = (200 000, 20 000), the tall SPMD
+/// benchmark problem at sampling rate 0.1, through the allocating wrapper.
+void BM_SampleWithoutReplacementShape(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto count = static_cast<std::uint64_t>(state.range(1));
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    Rng rng(42, stream++);
+    benchmark::DoNotOptimize(rng.sample_without_replacement(n, count));
+  }
+}
+BENCHMARK(BM_SampleWithoutReplacementShape)
+    ->Name("BM_SampleWithoutReplacement")
+    ->Args({200000, 20000});
+
+/// One SPMD rank's draw at the same shape: the global set into a reused
+/// SampleBitmap, then only rank 0's [lo, hi) block of a P-way row
+/// partition extracted.  Arg = P.
+void BM_SampleRankRange(benchmark::State& state) {
+  constexpr std::uint64_t kN = 200000;
+  constexpr std::uint64_t kCount = 20000;
+  const data::Partition partition(kN, static_cast<int>(state.range(0)));
+  SampleBitmap bitmap;
+  std::vector<std::uint32_t> local;
+  local.reserve(kCount);
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    Rng rng(42, stream++);
+    bitmap.draw(rng, kN, kCount);
+    bitmap.extract(partition.begin(0), partition.end(0), local);
+    benchmark::DoNotOptimize(local.data());
+  }
+}
+BENCHMARK(BM_SampleRankRange)->Arg(1)->Arg(4);
+
 void BM_SpMV(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto mat = make_matrix(rows, 256, 0.2);
@@ -362,13 +397,27 @@ void BM_ThreadAllreduce(benchmark::State& state) {
       "allreduce_latency_us");
   latency.reset();
   session.start();
-  for (auto _ : state) {
-    group.run([&](dist::ThreadComm& comm) {
-      std::vector<double> buf(words, static_cast<double>(comm.rank()));
+  // One group.run for the whole benchmark run, one allreduce_sum per
+  // iteration, so the row reports per-call time with thread start-up and
+  // join outside the timed region.  Every rank makes the same number of
+  // calls (max_iterations is fixed before timing starts); rank 0 also
+  // steps the benchmark's timer: its first KeepRunning() starts it, and the
+  // extra one after the last call stops it.
+  const benchmark::IterationCount calls = state.max_iterations;
+  group.run([&](dist::ThreadComm& comm) {
+    const bool timer_rank = comm.rank() == 0;
+    std::vector<double> buf(words, static_cast<double>(comm.rank()));
+    for (benchmark::IterationCount i = 0; i < calls; ++i) {
+      if (timer_rank) {
+        benchmark::DoNotOptimize(state.KeepRunning());
+      }
       comm.allreduce_sum(buf);
       benchmark::DoNotOptimize(buf.data());
-    });
-  }
+    }
+    if (timer_rank) {
+      benchmark::DoNotOptimize(state.KeepRunning());
+    }
+  });
   session.stop();
   session.clear();
   state.counters["lat_p50_us"] = latency.percentile(0.50);

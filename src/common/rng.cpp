@@ -1,9 +1,10 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -81,11 +82,12 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   RCF_CHECK_MSG(n > 0, "uniform_index: n must be positive");
-  // Lemire-style rejection over uint64 to avoid modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  // Rejection over uint64 to avoid modulo bias: accept r >= (2^64 - n) mod n.
+  // That threshold is below n, so any r >= n is accepted without computing
+  // it -- the same predicate, one 64-bit division fewer on almost every call.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) {
+    if (r >= n || r >= (~n + 1) % n) {
       return r % n;
     }
   }
@@ -115,37 +117,76 @@ double Rng::normal(double mean, double stddev) {
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(
     std::uint64_t n, std::uint64_t count) {
-  RCF_CHECK_MSG(count <= n, "sample_without_replacement: count > n");
+  SampleBitmap bitmap;
+  bitmap.draw(*this, n, count);
   std::vector<std::uint32_t> out;
   out.reserve(count);
+  bitmap.extract(0, n, out);
+  return out;
+}
+
+void SampleBitmap::draw(Rng& rng, std::uint64_t n, std::uint64_t count) {
+  RCF_CHECK_MSG(count <= n, "sample_without_replacement: count > n");
+  RCF_CHECK_MSG(n <= (std::uint64_t{1} << 32),
+                "sample_without_replacement: n exceeds the 32-bit index range");
+  n_ = n;
+  // Clears every word of this draw, including ones a larger earlier draw
+  // left set; assign() keeps the capacity.
+  words_.assign((n + 63) / 64, 0);
+  const auto has = [this](std::uint64_t i) {
+    return ((words_[i >> 6] >> (i & 63)) & 1) != 0;
+  };
+  const auto set = [this](std::uint64_t i) {
+    words_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  };
   if (count == 0) {
-    return out;
+    return;
   }
   if (count * 3 >= n) {
-    // Dense regime: partial Fisher-Yates over the full index range.
-    std::vector<std::uint32_t> pool(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      pool[i] = static_cast<std::uint32_t>(i);
-    }
+    // Dense regime: partial Fisher-Yates over the full index range; slot i
+    // holds the i-th sample once its swap is done.
+    pool_.resize(n);
+    std::iota(pool_.begin(), pool_.end(), std::uint32_t{0});
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t j = i + uniform_index(n - i);
-      std::swap(pool[i], pool[j]);
+      const std::uint64_t j = i + rng.uniform_index(n - i);
+      std::swap(pool_[i], pool_[j]);
+      set(pool_[i]);
     }
-    out.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
   } else {
-    // Sparse regime: Floyd's algorithm, O(count) expected draws.
-    std::unordered_set<std::uint32_t> chosen;
-    chosen.reserve(count * 2);
+    // Sparse regime: Floyd's algorithm, O(count) expected draws.  Before
+    // step j every chosen index is below j, so j is free when t collides.
     for (std::uint64_t j = n - count; j < n; ++j) {
-      const auto t = static_cast<std::uint32_t>(uniform_index(j + 1));
-      if (!chosen.insert(t).second) {
-        chosen.insert(static_cast<std::uint32_t>(j));
-      }
+      const std::uint64_t t = rng.uniform_index(j + 1);
+      set(has(t) ? j : t);
     }
-    out.assign(chosen.begin(), chosen.end());
   }
-  std::sort(out.begin(), out.end());
-  return out;
+}
+
+void SampleBitmap::extract(std::uint64_t lo, std::uint64_t hi,
+                           std::vector<std::uint32_t>& out) const {
+  RCF_CHECK_MSG(lo <= hi && hi <= n_,
+                "SampleBitmap::extract: range outside the draw");
+  out.clear();
+  if (lo == hi) {
+    return;
+  }
+  const std::uint64_t first = lo >> 6;
+  const std::uint64_t last = (hi - 1) >> 6;
+  for (std::uint64_t w = first; w <= last; ++w) {
+    std::uint64_t bits = words_[w];
+    if (w == first) {
+      bits &= ~std::uint64_t{0} << (lo & 63);
+    }
+    if (w == last) {
+      bits &= ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+    }
+    while (bits != 0) {
+      const std::uint64_t i =
+          (w << 6) + static_cast<std::uint64_t>(std::countr_zero(bits));
+      out.push_back(static_cast<std::uint32_t>(i - lo));
+      bits &= bits - 1;
+    }
+  }
 }
 
 std::vector<std::uint32_t> Rng::sample_with_replacement(std::uint64_t n,

@@ -62,8 +62,9 @@ class Rng {
   double normal(double mean, double stddev);
 
   /// Sample `count` distinct indices uniformly from [0, n), sorted ascending.
-  /// This is the paper's sampling matrix I_n (Alg. 4 line 4).  Uses Floyd's
-  /// algorithm for count << n and a partial Fisher-Yates otherwise.
+  /// This is the paper's sampling matrix I_n (Alg. 4 line 4): a
+  /// SampleBitmap draw scanned over the whole range.  Hot loops that draw
+  /// repeatedly, or need only part of the range, use SampleBitmap directly.
   std::vector<std::uint32_t> sample_without_replacement(std::uint64_t n,
                                                         std::uint64_t count);
 
@@ -80,6 +81,36 @@ class Rng {
   int buffered_ = 0;  // how many uint32 remain in buffer_
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// Reusable scratch for drawing `count` distinct indices from [0, n): a
+/// membership bitmap of n bits.  draw() makes exactly the uniform_index
+/// calls, in the same order, that define the sample -- Floyd's algorithm
+/// for count < n/3, a partial Fisher-Yates otherwise -- and extract() reads
+/// the sorted indices of any [lo, hi) off the bitmap by scanning only the
+/// 64-bit words that cover it.  No sort runs, and once the scratch has held
+/// a draw of size n, later draws of size <= n allocate nothing.
+///
+/// This is how the SPMD ranks agree on the sample without communicating
+/// it: each rank draws the global set from the shared (seed, n) stream and
+/// extracts only its own row block.
+class SampleBitmap {
+ public:
+  /// Draws `count` distinct indices from [0, n) with `rng`, replacing any
+  /// earlier draw.  Throws InvalidArgument when count > n or n > 2^32
+  /// (indices are 32-bit).
+  void draw(Rng& rng, std::uint64_t n, std::uint64_t count);
+
+  /// Replaces `out` with the drawn indices in [lo, hi), ascending, as
+  /// offsets from `lo` (so [0, n) yields the indices themselves).
+  /// Requires lo <= hi <= n.
+  void extract(std::uint64_t lo, std::uint64_t hi,
+               std::vector<std::uint32_t>& out) const;
+
+ private:
+  std::vector<std::uint64_t> words_;  // bit i set <=> index i drawn
+  std::vector<std::uint32_t> pool_;   // Fisher-Yates scratch (dense draws)
+  std::uint64_t n_ = 0;
 };
 
 /// Derives a child seed for a named subsystem from an experiment seed, so

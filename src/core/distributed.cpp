@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "check/checked_comm.hpp"
@@ -69,10 +70,10 @@ SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
       1, static_cast<std::size_t>(std::floor(
              opts.sampling_rate * static_cast<double>(m))));
   // Same automatic step size as the sequential engine (bit-identical
-  // trajectories require the identical gamma).  In a real deployment each
-  // rank would run the probe redundantly from the shared seed.
-  const double gamma = auto_step_size(problem, opts, mbar);
-  const double lambda_gamma = problem.lambda() * gamma;
+  // trajectories require the identical gamma).  The bound is computed here,
+  // once; the sampled-Gram probes run inside the SPMD body, sharded over
+  // the ranks (see below).
+  const StepProbePlan step_plan = plan_step_probe(problem, opts, mbar);
   const int k = opts.k;
   const int s_iters = opts.s;
   const data::Partition partition(m, group.size());
@@ -153,8 +154,9 @@ SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
     la::Vector grad(d), theta(d), u(d);
     la::Vector w_iter_prev(d);
     obs::ConvergenceRing local_conv;
-    std::vector<std::uint32_t> idx;
+    SampleBitmap bitmap;
     std::vector<std::uint32_t> local_idx;
+    local_idx.reserve(mbar);
     int update_counter = 0;
     int momentum_base = 0;
 
@@ -165,34 +167,47 @@ SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
         lp_update;
     auto& session = obs::TraceSession::global();
 
+    // Step-size probes, sharded: rank r evaluates probes p == r (mod P)
+    // in its h_local / r_local (every rank still draws each probe's index
+    // set, since the draws share stream 0), and one max-allreduce combines
+    // the shard maxima into exactly auto_step_size's gamma.  The reduction
+    // runs in aux mode, so the engine's comm counters, fault-plan call
+    // indices and contract-check sequence are those of the schedule below.
+    double probe_max = -std::numeric_limits<double>::infinity();
+    if (step_plan.probes > 0) {
+      probe_max = max_step_probe(problem, mbar, opts.seed, step_plan.probes,
+                                 rank, group.size(), h_local,
+                                 r_local.span());
+      dist::Communicator::AuxScope aux(checked);
+      probe_max = checked.allreduce_max_scalar(probe_max);
+    }
+    const double gamma = step_plan.gamma(probe_max);
+    const double lambda_gamma = problem.lambda() * gamma;
+
     const std::size_t stride = d * d + d;
 
     // Stages A + B for one k-chunk: every rank draws the *global* index set
-    // from the shared (seed, n) stream -- no communication needed to agree
-    // on it -- and accumulates the outer products of its own samples into
-    // `chunk` (kk packed [H_j | R_j] blocks).  A pure function of
-    // (seed, block_start): the poison-recovery paths re-run it to rebuild a
-    // corrupted rank-local contribution from scratch, and the pipelined
-    // path runs it for chunk t+1 while chunk t's reduction is in flight.
+    // from the shared (seed, n) stream into its bitmap -- no communication
+    // needed to agree on it -- extracts only its own [lo, hi) rows, and
+    // accumulates their outer products into `chunk` (kk packed [H_j | R_j]
+    // blocks).  A pure function of (seed, block_start): the poison-recovery
+    // paths re-run it to rebuild a corrupted rank-local contribution from
+    // scratch, and the pipelined path runs it for chunk t+1 while chunk t's
+    // reduction is in flight.
     const auto build_chunk = [&](int block_start, int kk, double* chunk) {
       for (int j = 0; j < kk; ++j) {
         const int n = block_start + j;
         obs::timed_phase(tracing, lp_sampling, "sampling", 0.0, [&] {
           Rng rng(opts.seed, static_cast<std::uint64_t>(n));
-          idx = rng.sample_without_replacement(m, mbar);
-          local_idx.clear();
-          for (const auto i : idx) {
-            if (i >= lo && i < hi) {
-              local_idx.push_back(static_cast<std::uint32_t>(i - lo));
-            }
-          }
+          bitmap.draw(rng, m, mbar);
+          bitmap.extract(lo, hi, local_idx);
         });
         obs::timed_phase(tracing, lp_gram, "gram", 0.0, [&] {
           h_local.fill(0.0);
           la::set_zero(r_local.span());
           sparse::accumulate_sampled_gram(
               local_xt, local_y.span(), local_idx,
-              1.0 / static_cast<double>(idx.size()), h_local,
+              1.0 / static_cast<double>(mbar), h_local,
               r_local.span());
           la::symmetrize_from_upper(h_local);
           double* dst = chunk + static_cast<std::size_t>(j) * stride;

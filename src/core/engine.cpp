@@ -26,6 +26,9 @@ namespace {
 
 using model::Phase;
 
+/// Sampled Gram draws auto_step_size probes when draws are overdetermined.
+constexpr int kStepProbes = 6;
+
 /// Mutable iteration state of the recurrence (paper Eq. 16-17): the engine
 /// carries w_{n-1}, dw_{n-1} = w_{n-1} - w_{n-2}, and the extrapolated point
 /// v_n, updated incrementally via dv_n = (1+mu_{n+1}) dw_n - mu_n dw_{n-1}.
@@ -62,14 +65,21 @@ void estimate_gradient(const la::Matrix& h, const la::Vector& r,
 
 }  // namespace
 
-double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
-                      std::size_t mbar) {
+double StepProbePlan::gamma(double probe_max) const {
+  return fixed > 0.0 ? fixed : scale / std::max(bound, probe_max);
+}
+
+StepProbePlan plan_step_probe(const LassoProblem& problem,
+                              const SolverOptions& opts, std::size_t mbar) {
+  StepProbePlan plan;
   if (opts.step_size > 0.0) {
-    return opts.step_size;
+    plan.fixed = opts.step_size;
+    return plan;
   }
+  plan.scale = opts.step_scale;
   const std::size_t m = problem.num_samples();
   const std::size_t d = problem.dim();
-  double l_est = problem.lipschitz();
+  plan.bound = problem.lipschitz();
   if (mbar < m && mbar < d) {
     // Rank-deficient regime: a single draw can realize a spectral norm up
     // to the hard bound max_i ||x_i||^2 (attained at mbar = 1), and the
@@ -82,24 +92,53 @@ double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
       row_norm_sq_max =
           std::max(row_norm_sq_max, la::dot(row.vals, row.vals));
     }
-    l_est = std::max(l_est, row_norm_sq_max);
+    plan.bound = std::max(plan.bound, row_norm_sq_max);
   } else if (mbar < m) {
     // Overdetermined draws (mbar >= d): spectral norms concentrate; probe a
     // few draws on the dedicated stream 0 (the per-iteration streams 1..N
     // stay untouched, preserving the k / S / P trajectory invariance).
-    la::Matrix h_probe(d, d);
-    la::Vector r_probe(d);
-    Rng rng(opts.seed, /*stream=*/0);
-    for (int probe = 0; probe < 6; ++probe) {
-      const auto idx = rng.sample_without_replacement(m, mbar);
-      sparse::sampled_gram(problem.xt(), problem.y().span(), idx, h_probe,
-                           r_probe.span());
-      const auto power = la::power_iteration(h_probe, /*max_iters=*/100,
-                                             /*tol=*/1e-4, opts.seed);
-      l_est = std::max(l_est, 1.35 * power.eigenvalue);
-    }
+    plan.probes = kStepProbes;
   }
-  return opts.step_scale / l_est;
+  return plan;
+}
+
+double max_step_probe(const LassoProblem& problem, std::size_t mbar,
+                      std::uint64_t seed, int probes, int first, int stride,
+                      la::Matrix& h, std::span<double> r) {
+  double probe_max = -std::numeric_limits<double>::infinity();
+  if (first >= probes) {
+    return probe_max;
+  }
+  const std::size_t m = problem.num_samples();
+  Rng rng(seed, /*stream=*/0);
+  SampleBitmap bitmap;
+  std::vector<std::uint32_t> idx;
+  idx.reserve(mbar);
+  for (int probe = 0; probe < probes; ++probe) {
+    bitmap.draw(rng, m, mbar);
+    if (probe % stride != first) {
+      continue;
+    }
+    bitmap.extract(0, m, idx);
+    sparse::sampled_gram(problem.xt(), problem.y().span(), idx, h, r);
+    const auto power = la::power_iteration(h, /*max_iters=*/100,
+                                           /*tol=*/1e-4, seed);
+    probe_max = std::max(probe_max, 1.35 * power.eigenvalue);
+  }
+  return probe_max;
+}
+
+double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
+                      std::size_t mbar) {
+  const StepProbePlan plan = plan_step_probe(problem, opts, mbar);
+  double probe_max = -std::numeric_limits<double>::infinity();
+  if (plan.probes > 0) {
+    la::Matrix h(problem.dim(), problem.dim());
+    la::Vector r(problem.dim());
+    probe_max = max_step_probe(problem, mbar, opts.seed, plan.probes,
+                               /*first=*/0, /*stride=*/1, h, r.span());
+  }
+  return plan.gamma(probe_max);
 }
 
 void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
@@ -253,6 +292,12 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
     refresh_anchor(0);
   }
 
+  // One sampling scratch for the whole run: every draw reuses its bitmap
+  // and index buffer.
+  SampleBitmap bitmap;
+  std::vector<std::uint32_t> idx;
+  idx.reserve(mbar);
+
   for (int block_start = 1; block_start <= opts.max_iters && !done;
        block_start += k) {
     const int kk = std::min(k, opts.max_iters - block_start + 1);
@@ -269,9 +314,9 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
       // k, every S, every P (paper §5.2, "random sampling is fixed by using
       // the same random generator seed").
       Rng rng(opts.seed, static_cast<std::uint64_t>(n));
-      std::vector<std::uint32_t> idx;
       obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
-        idx = rng.sample_without_replacement(m, mbar);
+        bitmap.draw(rng, m, mbar);
+        bitmap.extract(0, m, idx);
       });
       obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
         if (mbar == m) {
