@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/momentum.hpp"
+#include "core/problem.hpp"
 #include "data/partition.hpp"
 #include "exec/pool.hpp"
 #include "la/blas.hpp"
@@ -90,16 +91,8 @@ void LogisticProblem::gradient(std::span<const double> w,
 
 double LogisticProblem::lipschitz() const {
   if (!lipschitz_) {
-    const std::size_t m = num_samples();
-    std::vector<double> tmp(m);
-    const auto result = la::power_iteration(
-        [this, &tmp](std::span<const double> v, std::span<double> hv) {
-          dataset_->xt.spmv(v, tmp);
-          dataset_->xt.spmv_t(tmp, hv);
-          la::scal(0.25 / static_cast<double>(num_samples()), hv);
-        },
-        dim(), /*max_iters=*/300, /*tol=*/1e-9);
-    lipschitz_ = std::max(result.eigenvalue, 1e-300);
+    // sigma (1 - sigma) <= 1/4; scaling by a power of two is exact.
+    lipschitz_ = 0.25 * gram_lipschitz(*dataset_);
   }
   return *lipschitz_;
 }

@@ -47,18 +47,18 @@ void LassoProblem::full_gradient(std::span<const double> w,
   la::scal(1.0 / static_cast<double>(m), out);
 }
 
+double gram_lipschitz(const data::Dataset& dataset) {
+  const std::size_t d = dataset.num_features();
+  la::Matrix h(d, d);
+  la::Vector r(d);
+  sparse::full_gram(dataset.xt, dataset.y.span(), h, r.span());
+  const auto result = la::power_iteration(h, /*max_iters=*/300, /*tol=*/1e-9);
+  return std::max(result.eigenvalue, 1e-300);
+}
+
 double LassoProblem::lipschitz() const {
   if (!lipschitz_) {
-    const std::size_t m = num_samples();
-    std::vector<double> tmp(m);
-    const auto result = la::power_iteration(
-        [this, &tmp](std::span<const double> v, std::span<double> hv) {
-          xt().spmv(v, tmp);
-          xt().spmv_t(tmp, hv);
-          la::scal(1.0 / static_cast<double>(num_samples()), hv);
-        },
-        dim(), /*max_iters=*/300, /*tol=*/1e-9);
-    lipschitz_ = std::max(result.eigenvalue, 1e-300);
+    lipschitz_ = gram_lipschitz(*dataset_);
   }
   return *lipschitz_;
 }

@@ -20,6 +20,10 @@
 
 namespace rcf::core {
 
+/// lambda_max((1/m) X X^T), floored at 1e-300: power iteration (300 iters,
+/// tol 1e-9) on the d x d Gram of one full_gram pass, freed on return.
+[[nodiscard]] double gram_lipschitz(const data::Dataset& dataset);
+
 class LassoProblem {
  public:
   /// Keeps a reference to `dataset`; the dataset must outlive the problem.
@@ -43,8 +47,8 @@ class LassoProblem {
   /// out = grad f(w) = (1/m)(X X^T w - X y), computed with two SpMVs.
   void full_gradient(std::span<const double> w, std::span<double> out) const;
 
-  /// Lipschitz constant L = lambda_max((1/m) X X^T); computed once by power
-  /// iteration on the implicit operator and cached.
+  /// Lipschitz constant L = lambda_max((1/m) X X^T); computed once by
+  /// gram_lipschitz and cached.
   [[nodiscard]] double lipschitz() const;
 
   /// Dense H = (1/m) X X^T (lazily built and cached; d x d).

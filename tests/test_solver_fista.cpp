@@ -1,12 +1,24 @@
 // Tests for the deterministic solvers (ISTA / FISTA / reference), the
 // momentum schedule, and the lasso optimality of the reference solution.
+//
+// The LassoLipschitz* suites pin the Gram-based Lipschitz set-up against the
+// matrix-free power iteration it replaced (copied below as the oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/engine.hpp"
+#include "core/logistic.hpp"
 #include "core/momentum.hpp"
+#include "exec/pool.hpp"
+#include "la/backend.hpp"
 #include "la/blas.hpp"
+#include "la/eigen.hpp"
 #include "core/problem.hpp"
 #include "core/solvers.hpp"
 #include "data/synthetic.hpp"
@@ -252,6 +264,131 @@ TEST_F(FistaTest, ExplicitStepSizeHonored) {
   la::Vector zero(40);
   EXPECT_NEAR(tiny.objective, problem_.objective(zero.span()),
               problem_.objective(zero.span()) * 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// Gram-based Lipschitz set-up
+
+/// The matrix-free power iteration LassoProblem::lipschitz() used to run
+/// (and LogisticProblem's, at scale 0.25): 300 SpMV / SpMV_T pairs on the
+/// implicit operator scale * X X^T / m.
+double matrix_free_lipschitz(const data::Dataset& ds, double scale = 1.0) {
+  const std::size_t m = ds.num_samples();
+  std::vector<double> tmp(m);
+  const auto result = la::power_iteration(
+      [&](std::span<const double> v, std::span<double> hv) {
+        ds.xt.spmv(v, tmp);
+        ds.xt.spmv_t(tmp, hv);
+        la::scal(scale / static_cast<double>(m), hv);
+      },
+      ds.num_features(), /*max_iters=*/300, /*tol=*/1e-9);
+  return std::max(result.eigenvalue, 1e-300);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+double rel_diff(double a, double b) { return std::abs(a - b) / std::abs(b); }
+
+data::Dataset regression(std::size_t m, std::size_t d, double density,
+                         bool binary_labels = false) {
+  data::SyntheticOptions opts;
+  opts.num_samples = m;
+  opts.num_features = d;
+  opts.density = density;
+  opts.binary_labels = binary_labels;
+  return data::make_regression(opts);
+}
+
+/// The fixture dataset of tests/golden (test_golden.cpp).
+data::Dataset golden_dataset() {
+  data::SyntheticOptions opts;
+  opts.num_samples = 400;
+  opts.num_features = 16;
+  opts.density = 0.4;
+  opts.condition = 30.0;
+  opts.noise_stddev = 0.05;
+  opts.seed = 13;
+  return data::make_regression(opts);
+}
+
+/// covtype-scale (the bench_kernels solver row's shape).
+data::Dataset covtype_shape(bool binary_labels = false) {
+  return regression(20000, 54, 0.22, binary_labels);
+}
+
+TEST(LassoLipschitz, MatchesMatrixFreeOracle) {
+  for (const auto& ds : {golden_dataset(), covtype_shape(),
+                         data::make_paper_clone("mnist", 0.05)}) {
+    const LassoProblem problem(ds, 0.01);
+    const double oracle = matrix_free_lipschitz(ds);
+    EXPECT_LE(rel_diff(problem.lipschitz(), oracle), 1e-12)
+        << ds.num_samples() << "x" << ds.num_features() << ": "
+        << problem.lipschitz() << " vs " << oracle;
+  }
+}
+
+TEST(LassoLipschitz, BitwiseAcrossPoolWidthsPerBackend) {
+  // Both shapes put full_gram above the pool's work cutoff; d = 200 puts
+  // the power iteration's gemv above it too.
+  for (const auto& ds : {regression(4000, 54, 0.22), regression(1000, 200, 0.3)}) {
+    const double oracle = matrix_free_lipschitz(ds);
+    for (const auto backend : {la::Backend::kScalar, la::Backend::kSimd}) {
+      la::ScopedBackend scoped(backend);
+      double at_width1 = 0.0;
+      for (const int width : {1, 2, 7}) {
+        exec::Pool pool(width);
+        exec::PoolGuard guard(&pool);
+        const LassoProblem problem(ds, 0.01);
+        const double l = problem.lipschitz();
+        if (width == 1) {
+          at_width1 = l;
+          EXPECT_LE(rel_diff(l, oracle), 1e-12) << la::backend_name(backend);
+        }
+        EXPECT_TRUE(same_bits(l, at_width1))
+            << la::backend_name(backend) << " width " << width << ": " << l
+            << " vs " << at_width1;
+      }
+    }
+  }
+}
+
+TEST(LassoLipschitz, LogisticIsQuarterOfLassoBitwise) {
+  for (const auto& ds : {regression(400, 16, 0.4, /*binary_labels=*/true),
+                         covtype_shape(/*binary_labels=*/true)}) {
+    const LassoProblem lasso(ds, 0.01);
+    const LogisticProblem logistic(ds, 0.01);
+    EXPECT_TRUE(same_bits(logistic.lipschitz(), 0.25 * lasso.lipschitz()))
+        << logistic.lipschitz() << " vs 0.25 * " << lasso.lipschitz();
+    EXPECT_LE(rel_diff(logistic.lipschitz(), matrix_free_lipschitz(ds, 0.25)),
+              1e-12);
+  }
+}
+
+TEST(LassoLipschitz, AutoStepSizeEqualsOracleGammaWhenProbeWins) {
+  struct Case {
+    data::Dataset ds;
+    double sampling_rate;
+  };
+  for (const auto& c : {Case{golden_dataset(), 0.1}, Case{covtype_shape(), 0.05}}) {
+    const LassoProblem problem(c.ds, 0.01);
+    SolverOptions opts;
+    opts.sampling_rate = c.sampling_rate;
+    const auto mbar = static_cast<std::size_t>(
+        std::floor(c.sampling_rate * static_cast<double>(problem.num_samples())));
+    const double oracle = matrix_free_lipschitz(c.ds);
+    const StepProbePlan plan = plan_step_probe(problem, opts, mbar);
+    ASSERT_GT(plan.probes, 0);
+    EXPECT_LE(rel_diff(plan.bound, oracle), 1e-12);
+    la::Matrix h(problem.dim(), problem.dim());
+    la::Vector r(problem.dim());
+    const double probe_max = max_step_probe(problem, mbar, opts.seed,
+                                            plan.probes, 0, 1, h, r.span());
+    ASSERT_GT(probe_max, oracle);  // the probe wins: gamma ignores L's bits
+    const double oracle_gamma = opts.step_scale / std::max(oracle, probe_max);
+    EXPECT_TRUE(same_bits(auto_step_size(problem, opts, mbar), oracle_gamma));
+  }
 }
 
 }  // namespace
