@@ -177,8 +177,8 @@ int main(int argc, char** argv) {
           ropts.machine = machine;
           ropts.collective = collective;
           dshape.k = static_cast<double>(k);
-          // The distributed engine does not count model costs; a sequential
-          // replay at P=ranks supplies the measured counters for both rows.
+          // A real rank charges only its own Gram flops; a sequential replay
+          // at P=ranks supplies the critical-path counters for both rows.
           const auto counted = core::solve_rc_sfista(bp.problem(), ropts);
           const std::string label = name + "_k" + std::to_string(k);
           dist::ThreadGroup blocking_group(ranks);

@@ -1,22 +1,31 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "check/checked_comm.hpp"
+#include "check/options.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "core/health.hpp"
+#include "core/distributed.hpp"
 #include "core/momentum.hpp"
-#include "exec/pool.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "data/partition.hpp"
+#include "dist/retry.hpp"
+#include "exec/pool.hpp"
+#include "fault/faulty_comm.hpp"
+#include "fault/plan.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
+#include "obs/aggregate.hpp"
+#include "obs/live.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/watchdog.hpp"
 #include "prox/operators.hpp"
 #include "sparse/gram.hpp"
 
@@ -29,38 +38,42 @@ using model::Phase;
 /// Sampled Gram draws auto_step_size probes when draws are overdetermined.
 constexpr int kStepProbes = 6;
 
-/// Mutable iteration state of the recurrence (paper Eq. 16-17): the engine
-/// carries w_{n-1}, dw_{n-1} = w_{n-1} - w_{n-2}, and the extrapolated point
-/// v_n, updated incrementally via dv_n = (1+mu_{n+1}) dw_n - mu_n dw_{n-1}.
-struct IterState {
-  la::Vector w;        // w_{n-1}
-  la::Vector dw_prev;  // w_{n-1} - w_{n-2}
-  la::Vector v;        // v_n (the point the next gradient is taken at)
-};
+/// Corruption bound for the reduced [H|R] payload guard: poison is
+/// non-finite or astronomically large (a flipped high exponent bit scales a
+/// value by ~2^512), far above any Gram block of normalized data.
+constexpr double kPayloadBound = 1e100;
 
-/// Scratch buffers reused across iterations (no allocation in the loop).
-struct Scratch {
-  la::Vector grad;
-  la::Vector theta;
-  la::Vector u;
-  la::Vector tmp;
-};
-
-/// grad <- H z - R  (plain Alg. 4 line 8) or, with variance reduction,
-/// grad <- H (z - anchor) + anchor_grad  (Eq. 9 specialized to least
-/// squares, where the sampled terms collapse to H_S (z - w_hat)).
-void estimate_gradient(const la::Matrix& h, const la::Vector& r,
-                       std::span<const double> z, bool variance_reduction,
-                       std::span<const double> anchor,
-                       std::span<const double> anchor_grad, Scratch& s) {
-  if (variance_reduction) {
-    la::waxpby(1.0, z, -1.0, anchor, s.tmp.span());
-    la::gemv(1.0, h, s.tmp.span(), 0.0, s.grad.span());
-    la::axpy(1.0, anchor_grad, s.grad.span());
-  } else {
-    la::gemv(1.0, h, z, 0.0, s.grad.span());
-    la::axpy(-1.0, r.span(), s.grad.span());
+bool payload_sane(std::span<const double> payload) {
+  for (const double v : payload) {
+    if (!std::isfinite(v) || std::abs(v) > kPayloadBound) {
+      return false;
+    }
   }
+  return true;
+}
+
+/// mbar = max(1, floor(b * m)).
+std::size_t batch_size(const SolverOptions& opts, std::size_t m) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::floor(opts.sampling_rate * static_cast<double>(m))));
+}
+
+/// F(w): the problem's lambda ||w||_1 objective (paper Eq. 14), or the
+/// smooth part plus opts.regularizer when one is set.
+double objective_of(const LassoProblem& problem, const SolverOptions& opts,
+                    std::span<const double> w) {
+  return opts.regularizer != nullptr
+             ? problem.smooth_value(w) + opts.regularizer->value(w)
+             : problem.objective(w);
+}
+
+/// |F - F*| / |F*|, or NaN without a reference optimum.
+double rel_error_of(const SolverOptions& opts, double objective) {
+  if (std::isnan(opts.f_star) || opts.f_star == 0.0) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return std::abs((objective - opts.f_star) / opts.f_star);
 }
 
 }  // namespace
@@ -141,6 +154,8 @@ double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
   return plan.gamma(probe_max);
 }
 
+namespace {
+
 void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
   RCF_CHECK_MSG(opts.max_iters >= 1, "options: max_iters must be >= 1");
   RCF_CHECK_MSG(opts.k >= 1, "options: k must be >= 1");
@@ -153,6 +168,9 @@ void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
                 "options: history_stride must be >= 1");
   RCF_CHECK_MSG(opts.step_size >= 0.0, "options: step_size must be >= 0");
   RCF_CHECK_MSG(opts.step_scale > 0.0, "options: step_scale must be > 0");
+  RCF_CHECK_MSG(opts.staleness >= 0, "options: staleness must be >= 0");
+  RCF_CHECK_MSG(opts.staleness == 0 || opts.pipeline,
+                "options: staleness > 0 requires pipeline");
   if (opts.variance_reduction) {
     RCF_CHECK_MSG(opts.epoch_length >= 1,
                   "options: epoch_length must be >= 1 with VR");
@@ -165,23 +183,116 @@ void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
   }
 }
 
-SolveResult run_sfista_engine(const LassoProblem& problem,
-                              const SolverOptions& opts,
-                              const std::string& solver_name) {
-  validate_options(problem, opts);
+/// Retries and injected faults of every rank's decorators, folded in on
+/// scope exit -- also when a rank throws, so failures report them too.
+struct ResilienceTotals {
+  std::atomic<std::uint64_t> retries{0};
+  std::atomic<std::uint64_t> faults{0};
+};
 
-  // Intra-rank pool for the Gram / BLAS kernels below; a single logical
-  // rank here, so 0 resolves to the full hardware concurrency.
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, 1));
+/// Fills result.alerts from two sources that never overlap in kind: a
+/// deterministic scan of the convergence ring (stall, divergence,
+/// non-finite), and the runtime-only alerts (straggler, retry storm, ring
+/// overflow) the live monitor raised since `mark` was taken at solve start.
+void annotate_health(SolveResult& result, std::uint64_t mark) {
+  obs::LiveMonitor& monitor = obs::LiveMonitor::global();
+  const bool live = monitor.running();
+  const obs::WatchdogConfig config =
+      live ? monitor.watchdog_config() : obs::watchdog_config_from_env();
+  for (obs::Alert& alert :
+       obs::scan_convergence(result.conv.ordered(), config)) {
+    result.alerts.push_back(std::move(alert));
+  }
+  if (!live) {
+    return;
+  }
+  monitor.sample_now();  // fold the tail of the run before reading alerts
+  for (obs::Alert& alert : monitor.alerts_since(mark)) {
+    if (alert.kind == obs::AlertKind::kStraggler ||
+        alert.kind == obs::AlertKind::kRetryStorm ||
+        alert.kind == obs::AlertKind::kRingOverflow) {
+      result.alerts.push_back(std::move(alert));
+    }
+  }
+}
+
+/// One rank's RC-SFISTA (paper Alg. 5) over `comm`: stages A-B on the
+/// rank's own rows, stage C through the decorated communicator, stage D
+/// redundantly on every rank.  All ranks end on the same iterate; the
+/// caller keeps rank 0's result.  A 1-rank communicator is the sequential
+/// solver: it works on the problem's own storage, and with opts.procs > 1
+/// it charges the cost model as the most loaded of opts.procs ranks.
+SolveResult solve_rank(const LassoProblem& problem, const SolverOptions& opts,
+                       const StepProbePlan& step_plan,
+                       dist::Communicator& comm, ResilienceTotals& totals) {
+  // With opts.trace off, this rank's spans (its collectives' included)
+  // stay out of the session; phase counts are kept regardless.
+  const obs::QuietSpans quiet(!opts.trace);
+  auto& session = obs::TraceSession::global();
+  const bool tracing = opts.trace && session.enabled();
+
+  // Collective decorator stack, innermost first:
+  //   comm <- FaultyComm <- RetryingComm <- CheckedComm.
+  // Transients throw *before* the backend call, so a retried collective
+  // enters the rendezvous -- and the contract checker's schedule -- once.
+  fault::FaultyComm faulty(comm, fault::active_plan());
+  dist::RetryingComm retrying(faulty, opts.retry);
+  struct CounterFold {
+    fault::FaultyComm& faulty;
+    dist::RetryingComm& retrying;
+    ResilienceTotals& totals;
+    ~CounterFold() {
+      totals.retries += retrying.retries();
+      totals.faults += faulty.faults_injected();
+    }
+  } fold{faulty, retrying, totals};
+  check::CheckedComm checked(retrying);
+
+  const int rank = comm.rank();
+  const int ranks = comm.size();
+  // Width 0 divides the hardware among the ranks (no oversubscription).
+  exec::Pool pool(exec::Pool::resolve_width(opts.threads, ranks));
   exec::PoolGuard pool_guard(&pool);
 
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
-  const auto mbar = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(
-             opts.sampling_rate * static_cast<double>(m))));
+  const std::size_t mbar = batch_size(opts, m);
+  const int k = opts.k;
+  const int s_iters = opts.s;
 
-  const double gamma = auto_step_size(problem, opts, mbar);
+  // Rank-local rows (stage 0 of Fig. 1: X column-partitioned, y
+  // row-partitioned); a single rank reads the problem's own storage.
+  const data::Partition partition(m, ranks);
+  const std::size_t lo = partition.begin(rank);
+  const std::size_t hi = partition.end(rank);
+  sparse::CsrMatrix sliced_xt;
+  std::vector<double> sliced_y;
+  if (ranks > 1) {
+    sliced_xt = problem.xt().slice_rows(lo, hi);
+    sliced_y.assign(
+        problem.y().raw().begin() + static_cast<std::ptrdiff_t>(lo),
+        problem.y().raw().begin() + static_cast<std::ptrdiff_t>(hi));
+  }
+  const sparse::CsrMatrix& xt = ranks > 1 ? sliced_xt : problem.xt();
+  const std::span<const double> y =
+      ranks > 1 ? std::span<const double>(sliced_y) : problem.y().span();
+
+  // Staging for one rank-local [H_j | R_j] block (and the step probes).
+  la::Matrix h_local(d, d);
+  la::Vector r_local(d);
+
+  // Step-size probes, sharded: rank r builds probes p == r (mod P), and one
+  // max-allreduce yields exactly auto_step_size's gamma.  It runs in aux
+  // mode, so comm counters, fault-plan call indices and the contract
+  // sequence are those of the schedule below.
+  double probe_max = -std::numeric_limits<double>::infinity();
+  if (step_plan.probes > 0) {
+    probe_max = max_step_probe(problem, mbar, opts.seed, step_plan.probes,
+                               rank, ranks, h_local, r_local.span());
+    dist::Communicator::AuxScope aux(checked);
+    probe_max = checked.allreduce_max_scalar(probe_max);
+  }
+  const double gamma = step_plan.gamma(probe_max);
   const double lambda_gamma = problem.lambda() * gamma;
 
   // Default regularizer: the problem's lambda ||w||_1 (paper Eq. 14);
@@ -195,210 +306,195 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
       prox::soft_threshold(in, lambda_gamma, out);
     }
   };
-  const auto eval_objective = [&](std::span<const double> w) {
-    return opts.regularizer != nullptr
-               ? problem.smooth_value(w) + opts.regularizer->value(w)
-               : problem.objective(w);
-  };
-  const int k = opts.k;
-  const int s_iters = opts.s;
-
   const MomentumSchedule outer_mu(opts.momentum);
 
-  const data::Partition partition(m, opts.procs);
+  SolveResult out;
+  out.cost = model::CostTracker(opts.collective);
+  model::CostTracker& cost = out.cost;
 
-  WallTimer wall;
-  const std::uint64_t health_base = health_mark();
-  SolveResult result;
-  result.solver = solver_name;
-  result.cost = model::CostTracker(opts.collective);
-  model::CostTracker& cost = result.cost;
+  // Phase counts always, wall time when tracing.  Stage C's spans come from
+  // the communicator, so they equal CommStats::allreduce_calls.
+  obs::PhaseAgg ph_sampling, ph_gram, ph_allreduce, ph_post, ph_wait,
+      ph_update;
 
-  // Phase observation (counts always, spans + wall time when the global
-  // trace session is on).  The "allreduce" phase mirrors the stage-C
-  // rounds the SPMD path would execute, so its count validates against
-  // CommStats on the real threaded backend.
-  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
-  obs::PhaseAgg ph_sampling, ph_gram, ph_allreduce, ph_update;
-
-  // Per-block Hessian / RHS storage: G = [H_1 | ... | H_k], R likewise
-  // (Alg. 5 line 6).  Allocated once.
-  std::vector<la::Matrix> h_blocks;
-  std::vector<la::Vector> r_blocks;
-  h_blocks.reserve(static_cast<std::size_t>(k));
-  r_blocks.reserve(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    h_blocks.emplace_back(d, d);
-    r_blocks.emplace_back(d);
-  }
-
-  IterState st{la::Vector(d), la::Vector(d), la::Vector(d)};
-  Scratch scratch{la::Vector(d), la::Vector(d), la::Vector(d), la::Vector(d)};
-  // Previous iterate for the per-iteration step norm of the convergence
-  // ring (scratch.tmp is owned by the VR gradient path, so a dedicated
-  // buffer).
-  la::Vector w_iter_prev(d);
+  // Recurrence state (paper Eq. 16-17): w_{n-1}, dw_{n-1} = w_{n-1} -
+  // w_{n-2} and the extrapolated point v_n; then scratch.
+  la::Vector w(d), dw_prev(d), v(d);
+  la::Vector grad(d), theta(d), u(d), tmp(d), w_iter_prev(d);
 
   // Variance-reduction anchor (Alg. 3's w_hat) and its exact gradient.
   la::Vector anchor(d), anchor_grad(d);
   int last_anchor_iter = 0;
   int momentum_base = 0;
-  // Counts recurrence updates (S per sampled block); drives the momentum
-  // schedule.
-  int update_counter = 0;
+  int update_counter = 0;  // S per sampled block; drives the momentum
   auto refresh_anchor = [&](int iter_base) {
-    la::copy(st.w.span(), anchor.span());
+    la::copy(w.span(), anchor.span());
     obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
       problem.full_gradient(anchor.span(), anchor_grad.span());
     });
-    // Exact gradient: two SpMVs over the distributed data + an allreduce of
-    // the d-vector of partial sums.
+    // Modeled as two distributed SpMVs plus a d-word allreduce; each rank
+    // evaluates it from the shared problem, so no collective runs.
     cost.add_flops(Phase::kGram,
                    4.0 * static_cast<double>(problem.xt().nnz()) /
                        static_cast<double>(opts.procs));
-    obs::timed_phase(tracing, ph_allreduce, "allreduce",
-                     static_cast<double>(d),
-                     [&] { cost.add_allreduce(opts.procs, d); });
+    cost.add_allreduce(opts.procs, d);
     last_anchor_iter = iter_base;
     if (opts.vr_restart_momentum) {
-      // Literal Alg. 3: restart the inner loop from the snapshot (w_0 =
-      // w_hat, fresh momentum, v = w).
-      la::copy(st.w.span(), st.v.span());
-      st.dw_prev.fill(0.0);
+      // Literal Alg. 3: restart from the snapshot with fresh momentum.
+      la::copy(w.span(), v.span());
+      dw_prev.fill(0.0);
       momentum_base = update_counter;
     }
   };
 
+  const std::size_t stride = d * d + d;
   // The k*(d^2+d) block working set spills the cache for large k; every use
   // then streams from DRAM (see MachineSpec::beta_mem and DESIGN.md).
-  const double block_words = static_cast<double>(k) * (static_cast<double>(d) * d + d);
-  const bool spills = block_words > opts.machine.cache_doubles;
+  const bool spills = static_cast<double>(k) * static_cast<double>(stride) >
+                      opts.machine.cache_doubles;
+  const bool full_batch = mbar == m;
+  // One rank standing in for opts.procs charges the most loaded of them.
+  const bool simulate = ranks == 1 && opts.procs > 1;
+  const data::Partition simulated(m, simulate ? opts.procs : 1);
 
-  const bool need_objective_every_iter = opts.tol > 0.0;
   std::uint64_t comm_rounds = 0;
-  int iterations_done = 0;
-  bool done = false;
   // Machine-independent cumulative counters mirrored into the history so
   // benches can re-cost one trajectory for any (P, machine, collective).
   double raw_gram_flops = 0.0;
   double raw_update_flops = 0.0;
   double comm_payload_words = 0.0;
 
-  // mu index relative to the last VR momentum restart (plain runs and the
-  // default momentum-continuous VR never restart).
-  const auto mu_index = [&](int update_n) { return update_n - momentum_base; };
-
-  if (opts.variance_reduction) {
-    refresh_anchor(0);
-  }
-
-  // One sampling scratch for the whole run: every draw reuses its bitmap
-  // and index buffer.
   SampleBitmap bitmap;
   std::vector<std::uint32_t> idx;
   idx.reserve(mbar);
 
-  for (int block_start = 1; block_start <= opts.max_iters && !done;
-       block_start += k) {
-    const int kk = std::min(k, opts.max_iters - block_start + 1);
-
-    if (opts.variance_reduction &&
-        block_start - 1 - last_anchor_iter >= opts.epoch_length) {
-      refresh_anchor(block_start - 1);
-    }
-
-    // -- stages A + B: sample and locally accumulate k Hessian blocks ------
+  // Stages A + B for one k-chunk: every rank draws the *global* index set
+  // from the shared (seed, n) stream -- the same for every k, S and P
+  // (paper §5.2) -- and accumulates its own [lo, hi) rows into `chunk` (kk
+  // packed [H_j | R_j] blocks).  A pure function of (seed, block_start),
+  // so poison recovery can re-run it.  Under full sampling the local Gram
+  // is built once and copied; its flops are still charged per iteration,
+  // as Table 1's oblivious algorithm would incur them.
+  const auto build_chunk = [&](int block_start, int kk, double* chunk) {
     for (int j = 0; j < kk; ++j) {
       const int n = block_start + j;
-      // Sampling is keyed on (seed, n) only: identical index sets for every
-      // k, every S, every P (paper §5.2, "random sampling is fixed by using
-      // the same random generator seed").
-      Rng rng(opts.seed, static_cast<std::uint64_t>(n));
       obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
+        Rng rng(opts.seed, static_cast<std::uint64_t>(n));
         bitmap.draw(rng, m, mbar);
-        bitmap.extract(0, m, idx);
+        bitmap.extract(lo, hi, idx);
       });
       obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
-        if (mbar == m) {
-          // Full batch: the "sampled" Gram is the constant (H, R) pair, so
-          // we compute it once and reuse the values (bitwise identical to
-          // recomputation).  Costs are still charged per iteration exactly
-          // as the oblivious algorithm of Table 1 would incur them.
-          if (j == 0 && block_start == 1) {
-            sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
-                                 h_blocks[0], r_blocks[0]);
-          } else if (j > 0) {
-            h_blocks[static_cast<std::size_t>(j)] = h_blocks[0];
-            r_blocks[static_cast<std::size_t>(j)] = r_blocks[0];
-          }
-        } else {
-          sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
-                               h_blocks[static_cast<std::size_t>(j)],
-                               r_blocks[static_cast<std::size_t>(j)]);
+        if (!full_batch || n == 1) {
+          h_local.fill(0.0);
+          la::set_zero(r_local.span());
+          sparse::accumulate_sampled_gram(xt, y, idx,
+                                          1.0 / static_cast<double>(mbar),
+                                          h_local, r_local.span());
+          la::symmetrize_from_upper(h_local);
         }
+        double* dst = chunk + static_cast<std::size_t>(j) * stride;
+        std::copy(h_local.data(), h_local.data() + d * d, dst);
+        std::copy(r_local.data(), r_local.data() + d, dst + d * d);
       });
-      raw_gram_flops +=
-          static_cast<double>(sparse::sampled_gram_flops(problem.xt(), idx));
-      // Cost: each rank accumulates only its own samples; the critical path
-      // is the most loaded rank.
-      if (opts.procs == 1) {
-        cost.add_flops(Phase::kGram,
-                       static_cast<double>(
-                           sparse::sampled_gram_flops(problem.xt(), idx)));
-      } else {
-        const auto splits = partition.split_sorted(idx);
-        std::uint64_t max_rank_flops = 0;
-        for (const auto& span : splits) {
-          max_rank_flops = std::max(
-              max_rank_flops, sparse::sampled_gram_flops(problem.xt(), span));
+      const std::uint64_t flops = sparse::sampled_gram_flops(xt, idx);
+      raw_gram_flops += static_cast<double>(flops);
+      std::uint64_t critical = flops;
+      if (simulate) {
+        critical = 0;
+        for (const auto& span : simulated.split_sorted(idx)) {
+          critical =
+              std::max(critical, sparse::sampled_gram_flops(xt, span));
         }
-        cost.add_flops(Phase::kGram, static_cast<double>(max_rank_flops));
       }
+      cost.add_flops(Phase::kGram, static_cast<double>(critical));
     }
+  };
 
-    // -- stage C: one allreduce of [H_1|..|H_kk | R_1|..|R_kk] --------------
-    // Modeled (zero wall time here; the SPMD path in distributed.cpp
-    // performs the real collective), but counted as one "allreduce" span
-    // so the schedule shape is observable from SolveResult::phases.
-    obs::timed_phase(
-        tracing, ph_allreduce, "allreduce",
-        static_cast<double>(kk) * (static_cast<double>(d) * d + d), [&] {
-          cost.add_allreduce(opts.procs,
-                             static_cast<std::uint64_t>(kk) * (d * d + d));
-        });
-    ++comm_rounds;
-    comm_payload_words += static_cast<double>(kk) *
-                          (static_cast<double>(d) * d + d);
-    if (spills) {
-      cost.add_mem_words(Phase::kUpdate,
-                         (1.0 + s_iters) * static_cast<double>(kk) *
-                             (static_cast<double>(d) * d + d));
+  // Counts one stage-C call into `agg`, timing it when tracing.
+  const auto timed_comm = [&](obs::PhaseAgg& agg, std::size_t words,
+                              const auto& call) {
+    ++agg.count;
+    agg.words += static_cast<double>(words);
+    const std::int64_t t0 = tracing ? session.now_us() : 0;
+    call();
+    if (tracing) {
+      agg.us += session.now_us() - t0;
     }
+  };
+  // Blocking stage C: one allreduce combines all ranks' partial blocks.
+  const auto reduce = [&](std::span<double> payload) {
+    timed_comm(ph_allreduce, payload.size(),
+               [&] { checked.allreduce_sum(payload); });
+  };
 
-    // -- stage D: kk local update sweeps, S Hessian-reuse steps each --------
-    //
-    // Hessian-reuse (paper Eq. 20-23): each communicated (H, R) block is
-    // reused for S recurrence steps.  Every reuse step is a *standard*
-    // SFISTA update -- prox step at the extrapolated point, then the
-    // dv = (1+mu)dw - mu dw_prev recurrence -- advancing one shared update
-    // counter, so S = 1 reduces bit-exactly to the base algorithm and the
-    // per-step stability condition (gamma * ||H_n|| <= 1) is unchanged.
-    // Over-solving against a stale sampled block is what degrades large S
-    // (the paper's S = 10 observation).
-    for (int j = 0; j < kk && !done; ++j) {
+  // Poison guard.  Corruption enters a rank-local contribution before the
+  // reduce, so every rank sees the same poisoned sums and recovers
+  // symmetrically: rebuild, re-reduce once with a blocking collective
+  // (which quiesces in-flight posts), and get the fault-free bits back.
+  // Persistent corruption becomes a structured failure.  Armed only under a
+  // chaos plan or RCF_CHECK, so fault-free solves skip the O(payload) scan.
+  const bool guard_payload =
+      fault::active_plan() != nullptr || check::globally_enabled();
+  const auto guard = [&](int block_start, int kk, double* chunk) {
+    const std::span<double> payload(chunk, static_cast<std::size_t>(kk) *
+                                               stride);
+    if (!guard_payload || payload_sane(payload)) {
+      return;
+    }
+    build_chunk(block_start, kk, chunk);
+    reduce(payload);
+    if (!payload_sane(payload)) {
+      throw fault::PoisonedPayload(
+          "engine: reduced [H|R] payload still corrupt after recompute "
+          "fallback (block_start=" +
+          std::to_string(block_start) + ")");
+    }
+  };
+
+  // grad <- H_j at - R_j (Alg. 4 line 8) or, with variance reduction,
+  // H_j (v - anchor) + anchor_grad (Eq. 9 for least squares).  Rows of H_j
+  // are contiguous in the pack; each is the backend's dot, as in la::gemv,
+  // and each pool task owns whole rows, so any pool width gives the same
+  // bits (parallel_for audits the partition).
+  const auto gradient = [&](const double* hj, const double* rj,
+                            std::span<const double> at) {
+    const auto rows = [&](exec::Range range) {
+      for (std::size_t row = range.begin; row < range.end; ++row) {
+        const double acc = la::dot({hj + row * d, d}, at);
+        grad[row] = opts.variance_reduction ? acc + anchor_grad[row]
+                                            : acc - rj[row];
+      }
+    };
+    // One captured reference fits std::function's buffer: no allocation.
+    exec::parallel_for(
+        d, "core.gradient", [&rows](int, exec::Range range) { rows(range); },
+        2 * static_cast<std::uint64_t>(d) * d);
+  };
+
+  // Stage D for one chunk: kk update sweeps of S Hessian-reuse steps
+  // (paper Eq. 20-23), each a standard SFISTA update advancing one shared
+  // counter, so S = 1 is bit-exactly the base algorithm.  Under staleness
+  // `blocks` is an *earlier* chunk's (at least kk blocks: only the last
+  // chunk is short) while block_start still labels this chunk.
+  const auto update_chunk = [&](int block_start, int kk,
+                                const double* blocks) {
+    for (int j = 0; j < kk && !out.converged; ++j) {
       const int n = block_start + j;
-      const la::Matrix& h = h_blocks[static_cast<std::size_t>(j)];
-      const la::Vector& r = r_blocks[static_cast<std::size_t>(j)];
-      la::copy(st.w.span(), w_iter_prev.span());
+      const double* hj = blocks + static_cast<std::size_t>(j) * stride;
+      const double* rj = hj + d * d;
+      la::copy(w.span(), w_iter_prev.span());
 
       obs::timed_phase(tracing, ph_update, "update",
                        static_cast<double>(s_iters), [&] {
         for (int s2 = 1; s2 <= s_iters; ++s2) {
-          estimate_gradient(h, r, st.v.span(), opts.variance_reduction,
-                            anchor.span(), anchor_grad.span(), scratch);
-          la::waxpby(1.0, st.v.span(), -gamma, scratch.grad.span(),
-                     scratch.theta.span());
-          apply_prox(scratch.theta.span(), scratch.u.span());
+          if (opts.variance_reduction) {
+            la::waxpby(1.0, v.span(), -1.0, anchor.span(), tmp.span());
+            gradient(hj, rj, tmp.span());
+          } else {
+            gradient(hj, rj, v.span());
+          }
+          la::waxpby(1.0, v.span(), -gamma, grad.span(), theta.span());
+          apply_prox(theta.span(), u.span());
 
           // Recurrence: dw = w_new - w; dv = (1+mu_{u+1}) dw - mu_u dw_prev.
           ++update_counter;
@@ -407,28 +503,28 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
             // Restart test: <v - w_new, w_new - w_old> > 0.
             double dot_restart = 0.0;
             for (std::size_t i = 0; i < d; ++i) {
-              dot_restart +=
-                  (st.v[i] - scratch.u[i]) * (scratch.u[i] - st.w[i]);
+              dot_restart += (v[i] - u[i]) * (u[i] - w[i]);
             }
             if (dot_restart > 0.0) {
               momentum_base = update_counter;
-              la::copy(scratch.u.span(), st.v.span());
-              la::copy(scratch.u.span(), st.w.span());
-              st.dw_prev.fill(0.0);
+              la::copy(u.span(), v.span());
+              la::copy(u.span(), w.span());
+              dw_prev.fill(0.0);
               restarted = true;
             }
           }
           if (!restarted) {
-            const int nn = mu_index(update_counter);
+            // mu index relative to the last momentum restart.
+            const int nn = update_counter - momentum_base;
             const double mu_next =
                 std::min(outer_mu.mu(nn + 1), opts.momentum_cap);
             const double mu_cur =
                 std::min(outer_mu.mu(nn), opts.momentum_cap);
             for (std::size_t i = 0; i < d; ++i) {
-              const double dw = scratch.u[i] - st.w[i];
-              st.v[i] += (1.0 + mu_next) * dw - mu_cur * st.dw_prev[i];
-              st.dw_prev[i] = dw;
-              st.w[i] = scratch.u[i];
+              const double dw = u[i] - w[i];
+              v[i] += (1.0 + mu_next) * dw - mu_cur * dw_prev[i];
+              dw_prev[i] = dw;
+              w[i] = u[i];
             }
           }
         }
@@ -442,87 +538,244 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
       cost.add_flops(Phase::kUpdate, update_flops);
       raw_update_flops += update_flops;
 
-      iterations_done = n;
+      out.iterations = n;
 
+      // Every rank evaluates F from the shared problem: the same stopping
+      // decision everywhere, with no collective.
       const bool record =
           opts.track_history && (n % opts.history_stride == 0);
       double objective_n = std::numeric_limits<double>::quiet_NaN();
-      if (record || need_objective_every_iter) {
-        objective_n = eval_objective(st.w.span());
-        double rel_error = std::numeric_limits<double>::quiet_NaN();
-        if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-          rel_error = std::abs((objective_n - opts.f_star) / opts.f_star);
-        }
+      if (record || opts.tol > 0.0) {
+        objective_n = objective_of(problem, opts, w.span());
+        const double rel_error = rel_error_of(opts, objective_n);
         if (record) {
-          result.history.push_back(IterationRecord{
+          out.history.push_back(IterationRecord{
               n, objective_n, rel_error, cost.seconds(opts.machine),
               comm_rounds, raw_gram_flops, raw_update_flops,
               comm_payload_words});
         }
         if (opts.tol > 0.0 && !std::isnan(rel_error) &&
             rel_error <= opts.tol) {
-          result.converged = true;
-          done = true;
+          out.converged = true;
         }
       }
 
-      // Convergence telemetry: O(d) per-iteration summary, recorded into
-      // the bounded ring regardless of track_history (objective stays NaN
-      // on iterations where it was not evaluated).
-      {
-        obs::ConvergenceRecord rec;
-        rec.iteration = static_cast<std::uint64_t>(n);
-        rec.objective = objective_n;
-        rec.grad_norm =
-            std::sqrt(la::dot(scratch.grad.span(), scratch.grad.span()));
-        double support = 0.0;
-        double step_sq = 0.0;
-        for (std::size_t i = 0; i < d; ++i) {
-          support += st.w[i] != 0.0 ? 1.0 : 0.0;
-          const double dw = st.w[i] - w_iter_prev[i];
-          step_sq += dw * dw;
-        }
-        rec.support = support;
-        rec.step = std::sqrt(step_sq);
-        result.conv.push(rec);
-        obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
-                               static_cast<double>(n), rec.objective,
-                               rec.step);
+      // Convergence telemetry: an O(d) summary into the bounded ring (NaN
+      // objective where unevaluated) and a progress epoch for the monitor.
+      obs::ConvergenceRecord rec;
+      rec.iteration = static_cast<std::uint64_t>(n);
+      rec.objective = objective_n;
+      rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
+      double support = 0.0;
+      double step_sq = 0.0;
+      for (std::size_t i = 0; i < d; ++i) {
+        support += w[i] != 0.0 ? 1.0 : 0.0;
+        const double dw = w[i] - w_iter_prev[i];
+        step_sq += dw * dw;
       }
+      rec.support = support;
+      rec.step = std::sqrt(step_sq);
+      out.conv.push(rec);
+      obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
+                             static_cast<double>(n), rec.objective, rec.step);
+    }
+  };
+
+  // The chunk schedule.  Blocking: build, reduce, sweep, in one packed
+  // buffer.  Pipelined: chunk t+1's reduction is posted before chunk t's
+  // sweeps, and under staleness S those consume chunk max(t - S, 0).  A
+  // slot stays untouched from post until its first wait and last stale
+  // consumer; S + 2 slots cover the deepest schedule.
+  const int num_chunks = (opts.max_iters + k - 1) / k;
+  const int lag = opts.staleness;
+  const int nslots = opts.pipeline ? lag + 2 : 1;
+  // Sized in place: a fill-value prototype would touch a second
+  // pack-sized buffer for a moment.
+  std::vector<std::vector<double>> slots(static_cast<std::size_t>(nslots));
+  for (auto& slot : slots) {
+    slot.resize(static_cast<std::size_t>(k) * stride);
+  }
+  std::vector<dist::CommHandle> handles(static_cast<std::size_t>(nslots));
+  std::vector<char> waited(static_cast<std::size_t>(nslots), 1);
+  const auto chunk_start = [&](int t) { return 1 + t * k; };
+  const auto chunk_len = [&](int t) {
+    return std::min(k, opts.max_iters - chunk_start(t) + 1);
+  };
+  const auto slot_of = [&](int t) {
+    return static_cast<std::size_t>(t % nslots);
+  };
+
+  const auto post_chunk = [&](int t) {
+    const std::size_t slot = slot_of(t);
+    double* data = slots[slot].data();
+    const int kk = chunk_len(t);
+    build_chunk(chunk_start(t), kk, data);
+    // Modeled stage C, the history's counters, and the DRAM traffic of
+    // streaming a spilled block set through the S sweeps.
+    cost.add_allreduce(opts.procs, static_cast<std::uint64_t>(kk) * stride);
+    ++comm_rounds;
+    const double words = static_cast<double>(kk) * static_cast<double>(stride);
+    comm_payload_words += words;
+    if (spills) {
+      cost.add_mem_words(Phase::kUpdate, (1.0 + s_iters) * words);
+    }
+    const std::span<double> payload(data,
+                                    static_cast<std::size_t>(kk) * stride);
+    if (!opts.pipeline) {
+      reduce(payload);
+      guard(chunk_start(t), kk, data);
+      return;
+    }
+    timed_comm(ph_post, payload.size(),
+               [&] { handles[slot] = checked.iallreduce_sum(payload); });
+    waited[slot] = 0;
+  };
+
+  // First wait on chunk t's posted reduction; idempotent, since staleness
+  // consumes chunk 0 up to S + 1 times.  ph_wait.words counts waits that
+  // found the reduction already complete: the overlap the cost ledger
+  // credits (CommStats::overlapped_words inside the backend).
+  const auto wait_chunk = [&](int t) {
+    const std::size_t slot = slot_of(t);
+    if (waited[slot] != 0) {
+      return;
+    }
+    waited[slot] = 1;
+    const std::size_t words =
+        static_cast<std::size_t>(chunk_len(t)) * stride;
+    timed_comm(ph_wait, handles[slot].test() ? words : 0,
+               [&] { handles[slot].wait(); });
+    handles[slot] = dist::CommHandle();
+    guard(chunk_start(t), chunk_len(t), slots[slot].data());
+  };
+
+  if (opts.variance_reduction) {
+    refresh_anchor(0);
+  }
+  const int ahead = opts.pipeline ? 1 : 0;
+  int posted = 0;
+  for (int t = 0; t < num_chunks && !out.converged; ++t) {
+    if (opts.variance_reduction &&
+        chunk_start(t) - 1 - last_anchor_iter >= opts.epoch_length) {
+      refresh_anchor(chunk_start(t) - 1);
+    }
+    for (; posted < num_chunks && posted <= t + ahead; ++posted) {
+      post_chunk(posted);
+    }
+    const int src = std::max(t - lag, 0);
+    wait_chunk(src);
+    update_chunk(chunk_start(t), chunk_len(t), slots[slot_of(src)].data());
+  }
+  // Wait the posts no sweep consumed (the last S, or all after a tol stop),
+  // so every rank completes the same collectives and faults surface.
+  for (int t = std::max(posted - nslots, 0); t < posted; ++t) {
+    wait_chunk(t);
+  }
+
+  out.w = std::move(w);
+  out.sim_seconds = cost.seconds(opts.machine);
+  obs::append_phase(out.phases, "sampling", ph_sampling);
+  obs::append_phase(out.phases, "gram", ph_gram);
+  obs::append_phase(out.phases, "allreduce", ph_allreduce);
+  obs::append_phase(out.phases, "allreduce_post", ph_post);
+  obs::append_phase(out.phases, "allreduce_wait", ph_wait);
+  obs::append_phase(out.phases, "update", ph_update);
+  if (tracing) {
+    // Cross-rank aggregation of each rank's phases and endpoint stats; its
+    // collectives run in aux mode, so the recorded comm.* stay exact.
+    const dist::CommStats rank_stats = checked.stats();
+    obs::MetricsRegistry local;
+    obs::record_solve_metrics(local, out.phases, &rank_stats);
+    out.fleet = obs::aggregate(local, checked);
+  }
+  return out;
+}
+
+/// Runs solve_rank on every rank of `group`, or on one SeqComm rank when
+/// `group` is null, and turns rank 0's outcome into the SolveResult.
+SolveResult run_engine(const LassoProblem& problem, const SolverOptions& opts,
+                       const std::string& solver_name,
+                       dist::ThreadGroup* group) {
+  validate_options(problem, opts);
+  WallTimer wall;
+  const std::uint64_t health_base = obs::LiveMonitor::global().alert_count();
+  // problem.lipschitz() caches on first use, so the step plan is made here,
+  // on the calling thread; the probes themselves run sharded in the ranks.
+  const StepProbePlan step_plan =
+      plan_step_probe(problem, opts, batch_size(opts, problem.num_samples()));
+
+  ResilienceTotals totals;
+  dist::SeqComm seq;
+  SolveResult result;
+  const auto body = [&](dist::Communicator& comm) {
+    SolveResult mine = solve_rank(problem, opts, step_plan, comm, totals);
+    if (comm.rank() == 0) {
+      result = std::move(mine);
+    }
+  };
+  try {
+    if (group != nullptr) {
+      group->run(body);
+    } else {
+      body(seq);
+    }
+  } catch (const fault::FaultAbort& e) {
+    result = SolveResult::failure(solver_name, e.what());
+  } catch (const fault::PoisonedPayload& e) {
+    result = SolveResult::failure(solver_name, e.what());
+  } catch (const dist::TransientCommFailure& e) {
+    result = SolveResult::failure(solver_name, e.what());
+  }
+
+  // Endpoint counters are summed even when the run throws; decorator
+  // counters from ranks that threw before reaching their fold are lost, so
+  // retries / faults are a lower bound on a failed run.
+  result.comm_stats = group != nullptr ? group->last_run_stats() : seq.stats();
+  result.comm_stats.retries += totals.retries;
+  result.comm_stats.faults_injected += totals.faults;
+  if (obs::TraceSession::global().enabled()) {
+    // Mirror the decorator counters next to the backend's endpoint ones,
+    // so the metrics file agrees with SolveResult::comm_stats.
+    auto& registry = obs::MetricsRegistry::global();
+    const std::string prefix = group != nullptr ? "comm.thread." : "comm.seq.";
+    registry.counter(prefix + "retries").add(totals.retries);
+    registry.counter(prefix + "faults_injected").add(totals.faults);
+  }
+  if (result.ok()) {
+    result.solver = solver_name;
+    result.objective = objective_of(problem, opts, result.w.span());
+    result.rel_error = rel_error_of(opts, result.objective);
+    if (!std::isfinite(result.objective)) {
+      // Divergence (or corrupted inputs) is reported as a structured
+      // failure rather than handing the caller a NaN/Inf objective to
+      // misinterpret.
+      result.failed = true;
+      result.failure_reason =
+          "engine: non-finite objective at the final iterate";
+    }
+    if (!result.fleet.empty()) {
+      obs::publish(result.fleet, obs::MetricsRegistry::global());
     }
   }
-
-  result.w = st.w;
-  result.iterations = iterations_done;
-  result.objective = eval_objective(result.w.span());
-  if (!std::isfinite(result.objective)) {
-    // Divergence (or corrupted inputs) is reported as a structured failure
-    // rather than handing the caller a NaN/Inf objective to misinterpret.
-    result.failed = true;
-    result.failure_reason =
-        "engine: non-finite objective at the final iterate";
-  }
-  if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-    result.rel_error = std::abs((result.objective - opts.f_star) / opts.f_star);
-  }
-  result.sim_seconds = cost.seconds(opts.machine);
   result.wall_seconds = wall.seconds();
-  obs::append_phase(result.phases, "sampling", ph_sampling);
-  obs::append_phase(result.phases, "gram", ph_gram);
-  obs::append_phase(result.phases, "allreduce", ph_allreduce);
-  obs::append_phase(result.phases, "update", ph_update);
-  if (tracing) {
-    // Aggregate over a 1-rank world so traced sequential runs export the
-    // same agg.* layout as the SPMD backend (no real comm stats here; the
-    // collectives are modeled).
-    obs::MetricsRegistry local;
-    obs::record_solve_metrics(local, result.phases, nullptr);
-    dist::SeqComm seq;
-    result.fleet = obs::aggregate(local, seq);
-    obs::publish(result.fleet, obs::MetricsRegistry::global());
-  }
+  // A failed solve carries its health alerts too -- the retry storm /
+  // straggler trail leading up to it is what a post-mortem wants.
   annotate_health(result, health_base);
   return result;
+}
+
+}  // namespace
+
+SolveResult run_sfista_engine(const LassoProblem& problem,
+                              const SolverOptions& opts,
+                              const std::string& solver_name) {
+  return run_engine(problem, opts, solver_name, nullptr);
+}
+
+SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
+                                        const SolverOptions& opts,
+                                        dist::ThreadGroup& group) {
+  return run_engine(problem, opts, "rc-sfista-distributed", &group);
 }
 
 }  // namespace rcf::core

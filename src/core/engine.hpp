@@ -13,6 +13,10 @@
 // sampling are shared, runs with different k produce bitwise identical
 // iterates -- the exact-arithmetic identity behind Fig. 2(b), testable at
 // EXPECT_EQ level.
+//
+// The engine runs one rank's stages A-D over a dist::Communicator: the
+// sequential solvers use a single SeqComm rank, solve_rc_sfista_distributed
+// (core/distributed.hpp) every endpoint of a thread group.
 #pragma once
 
 #include <cstdint>
@@ -26,25 +30,22 @@
 
 namespace rcf::core {
 
-/// Runs the engine on `problem` under `opts`; `solver_name` labels the
-/// result.  Throws InvalidArgument for inconsistent options.
+/// Runs the engine on one SeqComm rank on `problem` under `opts`;
+/// `solver_name` labels the result.  Throws InvalidArgument for
+/// inconsistent options.
 SolveResult run_sfista_engine(const LassoProblem& problem,
                               const SolverOptions& opts,
                               const std::string& solver_name);
 
-/// Validates engine options against a problem (exposed for the wrappers).
-void validate_options(const LassoProblem& problem, const SolverOptions& opts);
-
 /// The engine's automatic step size: opts.step_size if set, otherwise
 /// step_scale over the larger of the full-Gram Lipschitz constant and a
 /// probed spectral norm of sampled Gram draws (individual H_S can exceed L
-/// substantially when mbar is small relative to d).  Shared by the
-/// sequential engine and the distributed SPMD path so both run the exact
-/// same trajectory.
+/// substantially when mbar is small relative to d).  The engine reaches the
+/// same gamma with its probes sharded over the ranks.
 double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
                       std::size_t mbar);
 
-/// auto_step_size split at its probe loop, so the SPMD path can shard the
+/// auto_step_size split at its probe loop, so the engine can shard the
 /// probes over its ranks and still arrive at the same gamma bit for bit:
 /// gamma(max over all probes) == auto_step_size, and the max of per-shard
 /// maxima is that same max (max is exact and order-free).

@@ -78,13 +78,12 @@ struct SolverOptions {
   int k = 1;  ///< iteration-overlapping depth (k >= 1).
   int s = 1;  ///< Hessian-reuse inner iterations (S >= 1).
 
-  // -- nonblocking pipeline (distributed backend) -----------------------------
+  // -- nonblocking pipeline ----------------------------------------------------
   /// Post the [H|R] chunk reduction with iallreduce_sum and overlap it with
   /// the next chunk's sampling + Gram build (and, through the handle, with
   /// the update sweeps).  At staleness 0 the pipelined schedule consumes
   /// every chunk's own reduced blocks in order, so the iterate trajectory is
   /// bitwise-identical to the blocking path; only the overlap differs.
-  /// Ignored by the single-process solver (nothing to overlap).
   bool pipeline = false;
   /// Bounded staleness S >= 0 (requires pipeline).  With S > 0 the update
   /// sweeps of chunk t reuse the reduced [H|R] blocks of chunk max(t - S, 0)

@@ -34,7 +34,9 @@ struct IterationRecord {
   // trajectory can be re-costed for any (P, machine, collective) without
   // re-running -- the per-iteration numerics are P-independent (the
   // allreduce always reconstructs the full Gram blocks).
-  double raw_gram_flops = 0.0;    ///< total Gram flops across all ranks.
+  /// Gram flops over the rows this rank holds: every row (the total across
+  /// ranks) in a sequential solve, rank 0's block in an SPMD one.
+  double raw_gram_flops = 0.0;
   double raw_update_flops = 0.0;  ///< per-rank redundant update flops.
   double comm_payload_words = 0.0;  ///< allreduce payload (pre-collective).
 };
@@ -81,7 +83,8 @@ struct SolveResult {
   double sim_seconds = 0.0;
   /// Real wall time of the (sequential or threaded) execution.
   double wall_seconds = 0.0;
-  /// Collective-operation statistics (real backends only).
+  /// Collective-operation statistics, summed over the ranks (one SeqComm
+  /// rank for the sequential solvers).
   dist::CommStats comm_stats;
   /// Per-phase span counts (always) and wall times / payloads (when the
   /// global obs::TraceSession is enabled).  The "allreduce" entry counts

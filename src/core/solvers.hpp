@@ -1,8 +1,9 @@
 // Public solver entry points.
 //
-// All solvers run sequentially while charging the alpha-beta-gamma cost
-// model for `opts.procs` logical processors; see core/distributed.hpp for
-// the genuinely multi-threaded SPMD execution used in validation.
+// Each FISTA-family solver runs the one RC-SFISTA engine (core/engine.hpp)
+// on a single SeqComm rank while charging the alpha-beta-gamma cost model
+// for `opts.procs` logical processors; core/distributed.hpp runs the same
+// engine SPMD over a thread group.
 #pragma once
 
 #include "core/engine.hpp"

@@ -214,8 +214,9 @@ PoolGuard::PoolGuard(Pool* pool) : previous_(tls_current_pool) {
 PoolGuard::~PoolGuard() { tls_current_pool = previous_; }
 
 void parallel_for(std::size_t n, const char* label,
-                  const std::function<void(int, Range)>& fn) {
-  Pool* pool = usable_pool(n);
+                  const std::function<void(int, Range)>& fn,
+                  std::uint64_t work) {
+  Pool* pool = usable_pool(work != 0 ? work : n);
   if (pool == nullptr) {
     fn(0, Range{0, n});
     return;

@@ -166,10 +166,10 @@ inline constexpr std::uint64_t kParallelWorkCutoff = 1u << 15;
 
 /// Runs fn(thread, range) over the static blocked partition of [0, n) on
 /// the ambient pool (inline as one range when no pool is usable for
-/// `n` units of work -- pass a larger estimate via dispatching on
-/// usable_pool + Pool::run directly when n misrepresents the work).
+/// `work` units of work; 0 means n).
 void parallel_for(std::size_t n, const char* label,
-                  const std::function<void(int, Range)>& fn);
+                  const std::function<void(int, Range)>& fn,
+                  std::uint64_t work = 0);
 
 /// Pool width requested by the RCF_THREADS environment variable, or
 /// `fallback` when unset/unparseable.  (0 still means "auto": hardware

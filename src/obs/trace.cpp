@@ -21,6 +21,7 @@ namespace {
 constexpr std::size_t kFlushThreshold = 1 << 15;
 
 thread_local int t_rank = 0;
+thread_local bool t_quiet = false;
 
 void append_event_json(const TraceEvent& ev, bool chrome, std::string& out) {
   out += "{\"name\":\"";
@@ -96,6 +97,12 @@ std::string expand_rank_path(const std::string& path, int rank) {
 void set_thread_rank(int rank) { t_rank = rank; }
 
 int thread_rank() { return t_rank; }
+
+QuietSpans::QuietSpans(bool quiet) : prev_(t_quiet) {
+  t_quiet = prev_ || quiet;
+}
+
+QuietSpans::~QuietSpans() { t_quiet = prev_; }
 
 const PhaseStat* find_phase(const PhaseSummary& summary,
                             std::string_view name) {
@@ -216,7 +223,7 @@ std::int64_t TraceSession::now_us() const {
 void TraceSession::record(const char* name, std::int64_t start_us,
                           std::int64_t dur_us, double words,
                           std::int64_t seq) {
-  if (!enabled()) {
+  if (!enabled() || t_quiet) {
     return;
   }
   ThreadBuffer& buffer = local_buffer();

@@ -92,6 +92,20 @@ struct TraceConfig {
 void set_thread_rank(int rank);
 [[nodiscard]] int thread_rank();
 
+/// While alive, spans recorded by the calling thread are dropped (a
+/// solve run with SolverOptions::trace off, whose collectives still open
+/// spans of their own).  `quiet == false` makes it inert.
+class QuietSpans {
+ public:
+  explicit QuietSpans(bool quiet);
+  QuietSpans(const QuietSpans&) = delete;
+  QuietSpans& operator=(const QuietSpans&) = delete;
+  ~QuietSpans();
+
+ private:
+  bool prev_;
+};
+
 /// The process-wide trace session.  All recording goes through global().
 class TraceSession {
  public:
@@ -115,7 +129,8 @@ class TraceSession {
   [[nodiscard]] std::int64_t now_us() const;
 
   /// Records one completed span for the calling thread; rank/tid are
-  /// filled in from the thread-local state.  No-op when disabled.
+  /// filled in from the thread-local state.  No-op when disabled or
+  /// inside a QuietSpans scope.
   /// `seq` is the collective sequence number (-1 = not a collective).
   void record(const char* name, std::int64_t start_us, std::int64_t dur_us,
               double words = 0.0, std::int64_t seq = -1);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "core/distributed.hpp"
@@ -244,13 +245,73 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4, 8, 1}, std::tuple{4, 4, 3},
                       std::tuple{2, 16, 2}));
 
-TEST_F(RcSfistaTest, DistributedRejectsVarianceReduction) {
+// ---------------------------------------------------------------------------
+// Every option means the same at every rank count: one engine runs them all,
+// so four ranks reproduce the sequential solve within the cross-rank
+// tolerance -- history objectives and the tol-stop point included.
+// ---------------------------------------------------------------------------
+
+class OptionsAcrossRanks : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(OptionsAcrossRanks, FourRanksAgreeWithOneRank) {
+  const std::string option = GetParam();
+  const auto dataset = test_dataset(600, 24);
+  const LassoProblem problem(dataset, 0.01);
+  const prox::ElasticNetRegularizer elastic_net(0.01, 0.02);
   SolverOptions opts;
-  opts.variance_reduction = true;
-  dist::ThreadGroup group(2);
-  EXPECT_THROW(solve_rc_sfista_distributed(problem_, opts, group),
-               InvalidArgument);
+  opts.max_iters = 40;
+  opts.sampling_rate = 0.2;
+  opts.k = 4;
+  opts.s = 2;
+  if (option == "variance_reduction" || option == "vr_restart_momentum") {
+    opts.variance_reduction = true;
+    opts.epoch_length = 10;
+    opts.vr_restart_momentum = option == "vr_restart_momentum";
+  } else if (option == "tol" || option == "tol_pipelined") {
+    opts.f_star = solve_reference(problem).objective;
+    opts.tol = 0.12;  // first reached at n = 19, inside a k = 4 chunk
+    opts.pipeline = option == "tol_pipelined";
+  } else if (option == "history") {
+    opts.history_stride = 3;
+  } else if (option == "elastic_net") {
+    opts.regularizer = &elastic_net;
+  } else if (option == "adaptive_restart") {
+    opts.adaptive_restart = true;
+  }
+
+  const auto seq = solve_rc_sfista(problem, opts);
+  dist::ThreadGroup group(4);
+  const auto par = solve_rc_sfista_distributed(problem, opts, group);
+  ASSERT_TRUE(seq.ok()) << seq.failure_reason;
+  ASSERT_TRUE(par.ok()) << par.failure_reason;
+
+  EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9);
+  EXPECT_NEAR(seq.objective, par.objective, 1e-9);
+  EXPECT_EQ(seq.iterations, par.iterations);
+  EXPECT_EQ(seq.converged, par.converged);
+  ASSERT_EQ(seq.history.size(), par.history.size());
+  ASSERT_FALSE(seq.history.empty());
+  for (std::size_t i = 0; i < seq.history.size(); ++i) {
+    EXPECT_EQ(seq.history[i].iteration, par.history[i].iteration);
+    EXPECT_NEAR(seq.history[i].objective, par.history[i].objective, 1e-9)
+        << "record " << i;
+  }
+  if (opts.tol > 0.0) {
+    // The stop must land mid-run, or this case tests nothing; the SPMD
+    // ranks then drain the chunks they posted but never swept.
+    EXPECT_TRUE(seq.converged);
+    EXPECT_LT(seq.iterations, opts.max_iters);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, OptionsAcrossRanks,
+    ::testing::Values("variance_reduction", "vr_restart_momentum", "tol",
+                      "tol_pipelined", "history", "elastic_net",
+                      "adaptive_restart"),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      return std::string(param.param);
+    });
 
 TEST_F(RcSfistaTest, RecursiveDoublingBackendAgrees) {
   SolverOptions opts;
